@@ -1,8 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.data.GridCounts
+import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
+
+import org.apache.spark.sql.{DataFrame, Encoders, SparkSession}
+import org.apache.spark.sql.functions.{col, shiftleft}
+import repro.data.{CityConfig, GridCounts}
 import repro.model.ModelTier
 
 import scala.collection.mutable
@@ -45,18 +47,29 @@ final case class EvalConfig(
 
 /** Upper-bound evaluator (paper Algorithm 3), memoized per grid size.
   *
-  * HGrid-lattice counts and the α surface are computed once per evaluator
-  * (they do not depend on n); each new grid size then costs one Spark
-  * pipeline: MGrid roll-up + model predictions + per-MGrid expression
-  * error. Search algorithms pay one pipeline per *distinct* grid size they
-  * visit — the cost unit of the paper's Table IV.
+  * Spark runs one pass here: the HGrid counting pass (`GridCounts.at`),
+  * cached so that a later evaluator over the same events reuses it. The
+  * first evaluation collects those counts into a dense day × slot × HGrid
+  * array, the count cube; every grid size is then computed from the cube
+  * in the JVM: α, the per-day MGrid roll-up, HA(k) model error (Eq. 20),
+  * test-day real error and the expression-error kernel. Search algorithms
+  * pay one evaluation per *distinct* grid size they visit — the cost unit
+  * of the paper's Table IV.
+  *
+  * @param parallelism threads of the expression-error kernel; results do
+  *                    not depend on it (see [[Evaluator.exprErrPerSlot]])
   */
-final class Evaluator(spark: SparkSession, events: DataFrame, val cfg: EvalConfig) {
+final class Evaluator(spark: SparkSession, events: DataFrame, val cfg: EvalConfig, parallelism: Int) {
+
+  /** Kernel parallelism = the session's default parallelism. */
+  def this(spark: SparkSession, events: DataFrame, cfg: EvalConfig) =
+    this(spark, events, cfg, spark.sparkContext.defaultParallelism)
 
   private val cache = mutable.Map.empty[Int, Map[Int, SlotEval]]
 
-  /** Cumulative wall time spent in cache-missing evaluations (includes the
-    * one-off counts/α pass on the first evaluation).
+  /** Cumulative wall time spent in cache-missing evaluations. The first one
+    * includes collecting the count cube, and the Spark counting pass unless
+    * an earlier evaluator over the same events cached it.
     */
   var wallNanos: Long = 0L
   def evalCount: Int = cache.size
@@ -74,180 +87,187 @@ final class Evaluator(spark: SparkSession, events: DataFrame, val cfg: EvalConfi
   def objective(slot: Int, model: ModelTier): Int => Double =
     nSide => apply(nSide)(slot).upper(model.name)
 
-  private def zero(slot: Int): SlotEval =
-    SlotEval(slot,
-      0.0,
-      cfg.models.map(_.name -> 0.0).toMap,
-      cfg.models.map(_.name -> 0.0).toMap)
+  // ---- n-independent state: the count cube and the α surface ------------
+  private val hSide = cfg.nTargetSide
+  private val cells = hSide * hSide
+  private val slots = CityConfig.Slots
+  /** First day read: the start of the α window or of the earliest HA(k)
+    * window, whichever comes first (the α window does when only short
+    * windows are configured).
+    */
+  private val day0 = math.max(0, math.min(cfg.testDay - cfg.trainWindow,
+    cfg.valDays.min - cfg.models.map(_.k).max))
+  private val days = cfg.testDay - day0 + 1
 
-  private def predCol(mt: ModelTier, d: Int): String = s"pred_${mt.name}_$d"
+  private lazy val counts: DataFrame = GridCounts.at(events, hSide).cache()
 
-  // ---- n-independent state: HGrid counts and the α surface -------------
-  private lazy val counts: DataFrame = {
-    val c = GridCounts.at(events, cfg.nTargetSide).cache()
-    c.count()
+  /** HGrid counts of days [day0, testDay] at index
+    * ((day − day0)·slots + slot)·N + HGrid id; absent cells are zeros.
+    */
+  private lazy val cube: Array[Int] = {
+    val idx = ((col("day") - day0) * slots + col("slot")) * cells + col("cx") * hSide + col("cy")
+    val packed = counts
+      .where(col("day").between(day0, cfg.testDay))
+      .select((shiftleft(idx.cast("long"), 32) + col("cnt")).as("v"))
+      .as(Encoders.scalaLong)
+      .collect()
+    val c = new Array[Int](days * slots * cells)
+    packed.foreach(v => c((v >>> 32).toInt) = v.toInt)
     c
   }
 
-  private lazy val alphaDf: DataFrame = {
-    val a = GridCounts
-      .alpha(counts, cfg.testDay - cfg.trainWindow, cfg.testDay)
-      .cache()
-    a.count()
+  private def at(day: Int, slot: Int): Int = ((day - day0) * slots + slot) * cells
+
+  /** α per (slot, HGrid) at index slot·N + HGrid id: the mean count over
+    * the train window [testDay − trainWindow, testDay).
+    */
+  private lazy val alpha: Array[Double] = {
+    val a = new Array[Double](slots * cells)
+    for (s <- 0 until slots; h <- 0 until cells) {
+      var sum = 0L
+      for (d <- cfg.testDay - cfg.trainWindow until cfg.testDay) sum += cube(at(d, s) + h)
+      a(s * cells + h) = sum / cfg.trainWindow.toDouble
+    }
     a
   }
 
-  /** Drop this evaluator's cached DataFrames. */
-  def close(): Unit = {
-    alphaDf.unpersist()
-    counts.unpersist()
+  /** Drop the cached HGrid counts. */
+  def close(): Unit = counts.unpersist()
+
+  /** Adds `slot`'s HGrid counts of `day` into `out(off + MGrid id)`. */
+  private def addDay(slot: Int, day: Int, mgridOf: Array[Int], out: Array[Long], off: Int): Unit = {
+    val base = at(day, slot)
+    var h = 0
+    while (h < cells) { out(off + mgridOf(h)) += cube(base + h); h += 1 }
   }
 
   private def compute(nSide: Int): Map[Int, SlotEval] = {
-    val spec = GridSpec(nSide, cfg.nTargetSide)
-    val testDay = cfg.testDay
-
-    // --- expression error: Alg. 2 per HGrid, grouped by MGrid ----------
-    val exprBySlot: Map[Int, Double] =
-      ExpressionError.totalPerSlot(spark, alphaDf, spec)
-        .collect()
-        .map(r => r.getInt(0) -> r.getDouble(1))
-        .toMap
-
-    // --- model predictions: one wide conditional aggregation -----------
-    val mcounts = GridCounts.rollupTo(counts, spec.hSide, nSide)
-    val targets = cfg.valDays :+ testDay
-    val minDay = targets.map(d => d - cfg.models.map(_.k).max).min
-    val actCols: Seq[Column] = targets.map(d =>
-      sum(when(col("day") === d, col("cnt")).otherwise(lit(0L))).as(s"act_$d"))
-    val predCols: Seq[Column] = for { mt <- cfg.models; d <- targets } yield
-      (sum(when(col("day").between(d - mt.k, d - 1), col("cnt")).otherwise(lit(0L))) / mt.k)
-        .as(predCol(mt, d))
-    val allAgg = actCols ++ predCols
-    val wide = mcounts
-      .where(col("day") >= math.max(0, minDay) && col("day") <= testDay)
-      .groupBy(col("slot"), col("cx"), col("cy"))
-      .agg(allAgg.head, allAgg.tail: _*)
-      .cache()
-    try {
-      // --- model error (Eq. 20): mean over valDays of Σ_i |λ̂_i − λ_i| ---
-      val meCols: Seq[Column] = cfg.models.map { mt =>
-        (cfg.valDays
-          .map(d => sum(abs(col(predCol(mt, d)) - col(s"act_$d"))))
-          .reduce(_ + _) / cfg.valDays.size).as(s"me_${mt.name}")
+    val spec = GridSpec(nSide, hSide)
+    val n = spec.n
+    val mgridOf = spec.mgridOf
+    val expr = Evaluator.exprErrPerSlot(alpha, spec, parallelism)
+    // cum(i·n + mg): MGrid mg's count summed over days [day0, day0 + i)
+    val cum = new Array[Long]((days + 1) * n)
+    def row(d: Int): Int = math.min(days, math.max(0, d - day0))
+    (0 until slots).map { s =>
+      for (i <- 0 until days) {
+        System.arraycopy(cum, i * n, cum, (i + 1) * n, n)
+        addDay(s, day0 + i, mgridOf, cum, (i + 1) * n)
       }
-      val meBySlot: Map[Int, Map[String, Double]] = wide
-        .groupBy(col("slot"))
-        .agg(meCols.head, meCols.tail: _*)
-        .collect()
-        .map { r =>
-          r.getInt(0) -> cfg.models.map(mt => mt.name -> r.getAs[Double](s"me_${mt.name}")).toMap
-        }
-        .toMap
+      // MGrid mg's count summed over days [from, until)
+      def window(mg: Int, from: Int, until: Int): Long = cum(row(until) * n + mg) - cum(row(from) * n + mg)
+      def pred(mt: ModelTier, d: Int, mg: Int): Double = window(mg, d - mt.k, d).toDouble / mt.k
 
-      // --- real error on the test day (Σ_ij |λ̂_i/m_i − λ_ij|) -----------
-      val reBySlot: Map[Int, Map[String, Double]] =
-        if (!cfg.computeReal) Map.empty
-        else realError(spec, wide)
+      // model error (Eq. 20): mean over valDays of Σ_i |λ̂_i − λ_i|
+      val modelErr = cfg.models.map { mt =>
+        mt.name -> cfg.valDays.map { d =>
+          var e = 0.0
+          var mg = 0
+          while (mg < n) { e += math.abs(pred(mt, d, mg) - window(mg, d, d + 1)); mg += 1 }
+          e
+        }.sum / cfg.valDays.size
+      }.toMap
 
-      val slots = exprBySlot.keySet ++ meBySlot.keySet ++ reBySlot.keySet
-      slots.map { s =>
-        s -> SlotEval(
-          s,
-          exprBySlot.getOrElse(s, 0.0),
-          cfg.models.map(mt => mt.name -> meBySlot.getOrElse(s, Map.empty).getOrElse(mt.name, 0.0)).toMap,
-          cfg.models.map(mt => mt.name -> reBySlot.getOrElse(s, Map.empty).getOrElse(mt.name, 0.0)).toMap,
-        )
-      }.toMap.withDefault(zero)
-    } finally wide.unpersist()
-  }
-
-  /** Small per-MGrid dimension table: (mcx, mcy, m). */
-  private def mDf(spec: GridSpec): DataFrame = {
-    import spark.implicits._
-    (for (i <- 0 until spec.nSide; j <- 0 until spec.nSide)
-      yield (i, j, spec.cellsPerM(i * spec.nSide + j))).toDF("mcx", "mcy", "m")
-  }
-
-  private def realError(
-      spec: GridSpec,
-      wide: DataFrame): Map[Int, Map[String, Double]] = {
-    val nSide = spec.nSide
-    val hSide = spec.hSide
-    val testDay = cfg.testDay
-    val predTest = wide
-      .select(
-        (col("slot") +: col("cx").as("mcx") +: col("cy").as("mcy") +:
-          cfg.models.map(mt => col(predCol(mt, testDay)).as(mt.name))): _*)
-      .join(mDf(spec), Seq("mcx", "mcy"))
-    val hTest = counts
-      .where(col("day") === testDay)
-      .select(
-        col("slot"),
-        least(lit(nSide - 1), (col("cx") * nSide / hSide).cast("int")).as("mcx"),
-        least(lit(nSide - 1), (col("cy") * nSide / hSide).cast("int")).as("mcy"),
-        col("cnt"))
-    // per present HGrid: |λ̂_i/m_i − λ_ij|; count present HGrids per MGrid
-    // m is null when the HGrid's MGrid has no prediction row; the predicted
-    // share is 0 then, so any positive divisor keeps the |0 − cnt| term.
-    val p1Cols: Seq[Column] = cfg.models.map(mt =>
-      sum(abs(coalesce(col(mt.name), lit(0.0)) / coalesce(col("m"), lit(1)) - col("cnt")))
-        .as(s"p1_${mt.name}"))
-    val part1 = hTest
-      .join(predTest, Seq("slot", "mcx", "mcy"), "left")
-      .groupBy(col("slot"), col("mcx"), col("mcy"))
-      .agg(p1Cols.head, (p1Cols.tail :+ count(lit(1)).as("present")): _*)
-    // absent HGrids of each predicted MGrid contribute λ̂_i/m_i each
-    val reCols: Seq[Column] = cfg.models.map { mt =>
-      sum(
-        coalesce(col(s"p1_${mt.name}"), lit(0.0)) +
-          (coalesce(col("m"), lit(1)) - coalesce(col("present"), lit(0L))) *
-          coalesce(col(mt.name), lit(0.0)) / coalesce(col("m"), lit(1))
-      ).as(s"re_${mt.name}")
-    }
-    part1
-      .join(predTest, Seq("slot", "mcx", "mcy"), "full_outer")
-      .groupBy(col("slot"))
-      .agg(reCols.head, reCols.tail: _*)
-      .collect()
-      .map { r =>
-        r.getInt(0) -> cfg.models.map(mt => mt.name -> r.getAs[Double](s"re_${mt.name}")).toMap
-      }
-      .toMap
+      // real error on the test day: Σ_ij |λ̂_i/m_i − λ_ij| over every HGrid
+      val base = at(cfg.testDay, s)
+      val realErr = cfg.models.map { mt =>
+        mt.name -> (if (!cfg.computeReal) 0.0 else {
+          val share = Array.tabulate(n)(mg => pred(mt, cfg.testDay, mg) / spec.cellsPerM(mg))
+          var e = 0.0
+          var h = 0
+          while (h < cells) { e += math.abs(share(mgridOf(h)) - cube(base + h)); h += 1 }
+          e
+        })
+      }.toMap
+      s -> SlotEval(s, expr(s), modelErr, realErr)
+    }.toMap
   }
 
   /** Test-day HA(k) predictions per slot as a dense per-MGrid array
     * (index = mcx·nSide + mcy) — the dispatch simulator's demand signal.
     */
   def testPredictions(nSide: Int, model: ModelTier): Map[Int, Array[Double]] = {
-    val d = cfg.testDay
-    denseBySlot(
-      GridCounts
-        .rollupTo(counts, cfg.nTargetSide, nSide)
-        .where(col("day").between(d - model.k, d - 1))
-        .groupBy(col("slot"), col("cx"), col("cy"))
-        .agg((sum(col("cnt")) / model.k).as("v")),
-      nSide)
+    require(day0 == 0 || cfg.testDay - model.k >= day0,
+      s"${model.name} reads days before $day0, the first day this evaluator counts")
+    demand(nSide, cfg.testDay - model.k, cfg.testDay, model.k)
   }
 
   /** Test-day *actual* per-MGrid counts — the paper's "using real order
     * data" dispatch variant (model error zero by construction).
     */
-  def testActuals(nSide: Int): Map[Int, Array[Double]] = {
-    denseBySlot(
-      GridCounts
-        .rollupTo(counts, cfg.nTargetSide, nSide)
-        .where(col("day") === cfg.testDay)
-        .select(col("slot"), col("cx"), col("cy"), col("cnt").cast("double").as("v")),
-      nSide)
+  def testActuals(nSide: Int): Map[Int, Array[Double]] =
+    demand(nSide, cfg.testDay, cfg.testDay + 1, 1)
+
+  /** Per-slot MGrid counts summed over days [from, until), divided by `div`. */
+  private def demand(nSide: Int, from: Int, until: Int, div: Int): Map[Int, Array[Double]] = {
+    val spec = GridSpec(nSide, hSide)
+    (0 until slots).map { s =>
+      val sum = new Array[Long](spec.n)
+      for (d <- math.max(from, day0) until until) addDay(s, d, spec.mgridOf, sum, 0)
+      s -> sum.map(_.toDouble / div)
+    }.toMap
+  }
+}
+
+object Evaluator {
+
+  /** Per-slot expression-error totals Σ_i Σ_j E_e from a dense α array
+    * (index slot·N + HGrid id): one [[ExpressionError.mgridTotal]] call per
+    * (slot, MGrid) on its non-zero α, in HGrid-id order.
+    *
+    * The groups run on up to `parallelism` threads, largest first, so one
+    * big group does not finish last. Each group's total lands in its own
+    * cell and the cells are summed per slot in MGrid order, so the result
+    * is bitwise independent of `parallelism`. Every thread is joined
+    * before this returns.
+    */
+  def exprErrPerSlot(alpha: Array[Double], spec: GridSpec, parallelism: Int): Array[Double] = {
+    val cells = spec.totalHGrids
+    val n = spec.n
+    val slots = alpha.length / cells
+    require(slots * cells == alpha.length, s"α length ${alpha.length} is not a multiple of $cells")
+    val mgridOf = spec.mgridOf
+    // HGrid ids sorted by MGrid: MGrid mg owns byM(start(mg) until start(mg + 1))
+    val byM = Array.range(0, cells).sortBy(mgridOf(_))
+    val start = spec.cellsPerM.scanLeft(0)(_ + _)
+    val nonZero = new Array[Int](slots * n)
+    for (s <- 0 until slots; h <- 0 until cells if alpha(s * cells + h) > 0)
+      nonZero(s * n + mgridOf(h)) += 1
+    val groups = (0 until slots * n).filter(nonZero(_) > 0).sortBy(g => -nonZero(g))
+    val total = new Array[Double](slots * n)
+    parallelFor(groups.size, parallelism) { i =>
+      val g = groups(i)
+      val (s, mgrid) = (g / n, g % n)
+      val as = new Array[Double](nonZero(g))
+      var k = 0
+      for (j <- start(mgrid) until start(mgrid + 1)) {
+        val a = alpha(s * cells + byM(j))
+        if (a > 0) { as(k) = a; k += 1 }
+      }
+      total(g) = ExpressionError.mgridTotal(as, spec.cellsPerM(mgrid))
+    }
+    Array.tabulate(slots)(s => (0 until n).foldLeft(0.0)((acc, mgrid) => acc + total(s * n + mgrid)))
   }
 
-  private def denseBySlot(df: DataFrame, nSide: Int): Map[Int, Array[Double]] =
-    df.collect()
-      .groupBy(_.getInt(0))
-      .map { case (slot, rows) =>
-        val arr = new Array[Double](nSide * nSide)
-        rows.foreach(r => arr(r.getInt(1) * nSide + r.getInt(2)) = r.getDouble(3))
-        slot -> arr
+  /** Runs `body(0 until tasks)` on the calling thread plus up to
+    * `parallelism − 1` helpers, which take the next index as they finish.
+    * Rethrows the first failure after all helpers have been joined.
+    */
+  private def parallelFor(tasks: Int, parallelism: Int)(body: Int => Unit): Unit = {
+    require(parallelism >= 1, s"parallelism must be >= 1, got $parallelism")
+    val next = new AtomicInteger(0)
+    val failure = new AtomicReference[Throwable]()
+    val work: Runnable = () => {
+      var i = next.getAndIncrement()
+      while (i < tasks && failure.get == null) {
+        try body(i) catch { case t: Throwable => failure.compareAndSet(null, t) }
+        i = next.getAndIncrement()
       }
+    }
+    val helpers = Seq.fill(math.min(parallelism, tasks) - 1)(new Thread(work, "expression-error"))
+    helpers.foreach { t => t.setDaemon(true); t.start() }
+    work.run()
+    helpers.foreach(_.join())
+    Option(failure.get).foreach(t => throw t)
+  }
 }

@@ -180,6 +180,8 @@ object ExpressionError {
   }
 
   /** Distributed per-slot totals: Σ_i Σ_j E_e(i,j) for every time slot.
+    * The Spark reference for `Evaluator.exprErrPerSlot`, which computes the
+    * same totals from a dense α array in the JVM.
     *
     * @param alphaDf (slot, cx, cy, alpha) at the `spec.hSide` lattice,
     *                sparse (zero-α cells absent)

@@ -50,6 +50,10 @@ final case class GridSpec(nSide: Int, nTargetSide: Int) {
   lazy val cellsPerM: Array[Int] =
     Array.tabulate(n)(id => axisCells(id / nSide) * axisCells(id % nSide))
 
+  /** MGrid of each HGrid (flattened HGrid id → flattened MGrid id). */
+  lazy val mgridOf: Array[Int] =
+    Array.tabulate(totalHGrids)(h => mgridId(h / hSide, h % hSide))
+
   private def clamp(i: Int, side: Int): Int =
     if (i < 0) 0 else if (i >= side) side - 1 else i
 }

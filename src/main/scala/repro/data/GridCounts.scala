@@ -10,9 +10,9 @@ import org.apache.spark.sql.functions._
   *  - counts: (day, slot, cx, cy, cnt) at a given lattice side
   *  - alpha:  (slot, cx, cy, alpha)
   *
-  * Cells with zero events are *absent* (sparse representation); consumers
-  * account for the implied zeros (see ExpressionError.totalPerSlot and
-  * Evaluator) instead of densifying.
+  * Cells with zero events are *absent* (sparse representation);
+  * ExpressionError.totalPerSlot accounts for the implied zeros, and the
+  * Evaluator collects counts into a dense array where they are explicit.
   */
 object GridCounts {
 

@@ -168,7 +168,7 @@ object Experiments {
     * of the 48 slots where it returns that slot's brute-force optimum;
     * *OR* is (POLAR orders served at the found n) / (at the optimal n),
     * summed over slots — the paper's optimal ratio. Each algorithm gets a
-    * fresh evaluator so its cost is exactly the pipelines it triggered.
+    * fresh evaluator so its cost is exactly the evaluations it triggered.
     */
   def table4(env: Env, model: ModelTier = Models.ha4): Seq[SearchRow] = {
     def runAlg(search: (Int => Double) => Search.Result): (Map[Int, Int], Double, Int) = {

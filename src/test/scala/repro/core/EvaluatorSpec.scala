@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.data.{CityConfig, EventGen, GridCounts}
@@ -96,33 +97,114 @@ class EvaluatorSpec extends SparkSpec {
     assert(math.abs(r(slot).upper("ha3") - e4(slot).upper("ha3")) < 1e-6)
   }
 
+  /** Relative agreement to 1e-9 (exact when either side is 0). */
+  private def assertClose(what: String, got: Double, want: Double): Unit =
+    assert(math.abs(got - want) <= 1e-9 * math.max(math.abs(got), math.abs(want)),
+      s"$what: got $got, want $want")
+
+  private lazy val hCounts = GridCounts.at(events, 16)
+  private val slots = 0 until CityConfig.Slots
+  private val tierRows = tiers.map(t => s"('${t.name}', ${t.k})").mkString(", ")
+
+  /** DuckDB rows (slot, tier, value) as a map with absent entries 0. */
+  private def bySlotTier(sql: String, tables: (String, DataFrame)*): Map[(Int, String), Double] =
+    Oracle.query(sql, tables: _*)._2
+      .map(r => (r.getAs[Number](0).intValue, r.getString(1)) -> r.getAs[Number](2).doubleValue)
+      .toMap
+      .withDefaultValue(0.0)
+
   test("Eq. 20: per-slot model error equals Σ_i mean_d |λ̂_i − λ_i| (DuckDB)") {
-    // independent re-computation of the ha3 model error at nSide=4 via SQL
-    val m = GridCounts.rollupTo(GridCounts.at(events, 16), 16, 4)
-    val got = spark.createDataFrame(
-      e4.toSeq.sortBy(_._1).map { case (s, r) => (s, r.modelErr("ha3")) })
-      .toDF("slot", "me")
-    Oracle.assertEquivalent(
-      got,
-      """WITH grid AS (
-        |  SELECT DISTINCT slot, cx, cy FROM m
-        |), days(d) AS (VALUES (9), (10)),
-        |cells AS (
-        |  SELECT g.slot, g.cx, g.cy, days.d FROM grid g CROSS JOIN days
-        |),
-        |vals AS (
-        |  SELECT c.slot, c.cx, c.cy, c.d,
-        |    COALESCE((SELECT SUM(CAST(cnt AS DOUBLE)) FROM m
-        |      WHERE CAST(m.day AS INT) BETWEEN c.d - 3 AND c.d - 1
-        |        AND m.slot = c.slot AND m.cx = c.cx AND m.cy = c.cy), 0) / 3.0 AS pred,
-        |    COALESCE((SELECT SUM(CAST(cnt AS DOUBLE)) FROM m
-        |      WHERE CAST(m.day AS INT) = c.d
-        |        AND m.slot = c.slot AND m.cx = c.cx AND m.cy = c.cy), 0) AS act
-        |  FROM cells c
-        |)
-        |SELECT CAST(slot AS INT) AS slot, SUM(ABS(pred - act)) / 2.0 AS me
-        |FROM vals GROUP BY 1""".stripMargin,
-      "m" -> m)
+    // independent re-computation of every tier's model error via SQL, at a
+    // dividing (4) and a non-dividing (3, m varies) grid size
+    for (n <- Seq(4, 3)) {
+      val want = bySlotTier(
+        s"""WITH mc AS (
+          |  SELECT CAST(day AS INT) AS day, CAST(slot AS INT) AS slot, CAST(cx AS INT) AS cx,
+          |    CAST(cy AS INT) AS cy, CAST(cnt AS DOUBLE) AS cnt FROM m
+          |), grid AS (
+          |  SELECT DISTINCT slot, cx, cy FROM mc
+          |), days(d) AS (VALUES (9), (10)),
+          |tiers(tier, k) AS (VALUES $tierRows),
+          |vals AS (
+          |  SELECT g.slot, t.tier,
+          |    COALESCE((SELECT SUM(cnt) FROM mc
+          |      WHERE mc.day BETWEEN days.d - t.k AND days.d - 1
+          |        AND mc.slot = g.slot AND mc.cx = g.cx AND mc.cy = g.cy), 0) / t.k AS pred,
+          |    COALESCE((SELECT SUM(cnt) FROM mc
+          |      WHERE mc.day = days.d
+          |        AND mc.slot = g.slot AND mc.cx = g.cx AND mc.cy = g.cy), 0) AS act
+          |  FROM grid g CROSS JOIN days CROSS JOIN tiers t
+          |)
+          |SELECT slot, tier, SUM(ABS(pred - act)) / 2.0 AS me
+          |FROM vals GROUP BY 1, 2""".stripMargin,
+        "m" -> GridCounts.rollupTo(hCounts, 16, n))
+      val got = ev(n)
+      for (s <- slots; t <- tiers)
+        assertClose(s"n=$n slot=$s ${t.name}", got(s).modelErr(t.name), want((s, t.name)))
+    }
+  }
+
+  test("real error equals Σ_ij |λ̂_i/m_i − λ_ij| over every HGrid (DuckDB)") {
+    for (n <- Seq(3, 4, 16)) {
+      val want = bySlotTier(
+        s"""WITH c AS (
+          |  SELECT CAST(day AS INT) AS day, CAST(slot AS INT) AS slot, CAST(cx AS INT) AS cx,
+          |    CAST(cy AS INT) AS cy, CAST(cnt AS DOUBLE) AS cnt FROM h
+          |), lat AS (
+          |  SELECT CAST(a.i AS INT) AS cx, CAST(b.j AS INT) AS cy,
+          |    LEAST($n - 1, CAST(a.i AS INT) * $n // 16) AS mcx,
+          |    LEAST($n - 1, CAST(b.j AS INT) * $n // 16) AS mcy
+          |  FROM range(16) AS a(i), range(16) AS b(j)
+          |), msize AS (
+          |  SELECT mcx, mcy, COUNT(*) AS m FROM lat GROUP BY 1, 2
+          |), tiers(tier, k) AS (VALUES $tierRows),
+          |pred AS (
+          |  SELECT c.slot, l.mcx, l.mcy, t.tier, SUM(c.cnt) / t.k AS p
+          |  FROM c JOIN lat l ON c.cx = l.cx AND c.cy = l.cy CROSS JOIN tiers t
+          |  WHERE c.day BETWEEN 11 - t.k AND 10
+          |  GROUP BY c.slot, l.mcx, l.mcy, t.tier, t.k
+          |), test AS (
+          |  SELECT slot, cx, cy, cnt FROM c WHERE day = 11
+          |), slots AS (
+          |  SELECT CAST(i AS INT) AS slot FROM range(${CityConfig.Slots}) AS r(i)
+          |)
+          |SELECT s.slot, t.tier, SUM(ABS(COALESCE(p.p, 0) / ms.m - COALESCE(x.cnt, 0))) AS re
+          |FROM slots s CROSS JOIN lat l CROSS JOIN tiers t
+          |JOIN msize ms ON ms.mcx = l.mcx AND ms.mcy = l.mcy
+          |LEFT JOIN pred p ON p.slot = s.slot AND p.mcx = l.mcx AND p.mcy = l.mcy AND p.tier = t.tier
+          |LEFT JOIN test x ON x.slot = s.slot AND x.cx = l.cx AND x.cy = l.cy
+          |GROUP BY 1, 2""".stripMargin,
+        "h" -> hCounts)
+      val got = ev(n)
+      for (s <- slots; t <- tiers)
+        assertClose(s"n=$n slot=$s ${t.name}", got(s).realErr(t.name), want((s, t.name)))
+    }
+  }
+
+  test("expression error equals ExpressionError.totalPerSlot for every √n in 1..16") {
+    val alphaDf = GridCounts.alpha(hCounts, 11 - 8, 11)
+    for (n <- 1 to 16) {
+      val want = ExpressionError.totalPerSlot(spark, alphaDf, GridSpec(n, 16))
+        .collect()
+        .map(r => r.getInt(0) -> r.getDouble(1))
+        .toMap
+        .withDefaultValue(0.0)
+      val got = ev(n)
+      for (s <- slots) assertClose(s"n=$n slot=$s", got(s).exprErr, want(s))
+    }
+  }
+
+  test("SlotEvals are bitwise identical at kernel parallelism 1 and 4") {
+    val one = new Evaluator(spark, events, ev.cfg, parallelism = 1)
+    val four = new Evaluator(spark, events, ev.cfg, parallelism = 4)
+    for (n <- Seq(1, 3, 8)) assert(one(n) == four(n), s"n=$n")
+  }
+
+  test("α window before every HA(k) window: ha4-only expression error is unchanged") {
+    // ha4 alone reads days 5–10; the α window [3, 11) starts earlier
+    val ha4 = new Evaluator(spark, events, ev.cfg.copy(models = Seq(ModelTier("ha4", 4))))
+    for (n <- Seq(2, 4); s <- slots)
+      assert(ha4(n)(s).exprErr == ev(n)(s).exprErr, s"n=$n slot=$s")
   }
 
   test("testPredictions: dense arrays with the right shape and mass") {
@@ -133,6 +215,20 @@ class EvaluatorSpec extends SparkSpec {
     val slotTotal = preds.map { case (_, a) => a.sum }.sum
     val expect = toy.dailyOrders
     assert(math.abs(slotTotal - expect) / expect < 0.2, s"pred mass=$slotTotal")
+    // every MGrid against the rollupTo-based HA(k) sum
+    for (n <- Seq(3, 4); t <- tiers) {
+      val want = GridCounts.rollupTo(hCounts, 16, n)
+        .where(col("day").between(11 - t.k, 10))
+        .groupBy(col("slot"), col("cx"), col("cy"))
+        .agg(sum(col("cnt")))
+        .collect()
+        .map(r => (r.getInt(0), r.getInt(1) * n + r.getInt(2)) -> r.getLong(3).toDouble / t.k)
+        .toMap
+      val got = ev.testPredictions(n, t)
+      assert(want.keySet.forall { case (s, _) => got.contains(s) })
+      for ((s, pred) <- got; mgrid <- pred.indices)
+        assertClose(s"n=$n ${t.name} slot=$s mgrid=$mgrid", pred(mgrid), want.getOrElse((s, mgrid), 0.0))
+    }
   }
 
   test("testActuals matches the test-day counts") {
