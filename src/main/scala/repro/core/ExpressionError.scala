@@ -16,35 +16,14 @@ import org.apache.spark.sql.functions.{col, least, lit, sum}
   *  - [[fast]]   — paper Algorithm 2, O(mK), via incremental prefix sums
   *                 of the Pois(b) mass (Eq. 16–19);
   *  - [[auto]]   — production variant: same prefix-sum scheme but
-  *                 iterating only the ±12σ windows of both Poissons, with
-  *                 log-space pmf evaluation. A literal double-precision
-  *                 Alg. 1/2 computes e^{−b} = 0 for b ≳ 745 (a busy MGrid
-  *                 at small n) and silently returns 0; [[auto]] does not.
+  *                 iterating only the ±12σ windows of both Poissons, each
+  *                 pmf built outward from its mode by the ratio recurrence.
+  *                 A literal double-precision Alg. 1/2 computes e^{−b} = 0
+  *                 for b ≳ 745 (a busy MGrid at small n) and silently
+  *                 returns 0; [[auto]] does not.
+  * [[mgridTotal]] sums [[auto]] over one MGrid, once per distinct α.
   */
 object ExpressionError {
-
-  /** Lanczos log-gamma (g=7, n=9); |err| < 1e-13 for x > 0. */
-  def lgamma(x: Double): Double = {
-    val g = 7.0
-    val c = Array(
-      0.99999999999980993, 676.5203681218851, -1259.1392167224028,
-      771.32342877765313, -176.61502916214059, 12.507343278686905,
-      -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7)
-    if (x < 0.5) {
-      math.log(math.Pi / math.sin(math.Pi * x)) - lgamma(1.0 - x)
-    } else {
-      val xx = x - 1.0
-      var a = c(0)
-      val t = xx + g + 0.5
-      var i = 1
-      while (i < 9) { a += c(i) / (xx + i); i += 1 }
-      0.5 * math.log(2 * math.Pi) + (xx + 0.5) * math.log(t) - t + math.log(a)
-    }
-  }
-
-  /** log Pois(mu) pmf at k. */
-  def logPoisPmf(mu: Double, k: Long): Double =
-    -mu + k * math.log(mu) - lgamma(k + 1.0)
 
   /** Algorithm 1 (verbatim intent): double sum truncated at k_h ≤ K,
     * k_m ≤ (m−1)K, pmfs by the O(1) recurrence of Eq. 14.
@@ -114,51 +93,71 @@ object ExpressionError {
     e / m
   }
 
-  private final val Z = 12.0 // window half-width in σ, tail mass < 1e-30
+  private final val Z = 12.0 // window half-width in σ (+10), tail mass < 1e-26
 
-  /** Production expression error: Alg. 2's scheme over the mass windows of
-    * both Poissons, pmfs in log space. Truncation error < 1e-12 relative.
+  /** The ±Zσ window [lo, hi] of Pois(mu); [0, 0] for mu = 0. */
+  private[core] def windowBounds(mu: Double): (Long, Long) =
+    if (mu == 0.0) (0L, 0L)
+    else (math.max(0L, math.floor(mu - Z * math.sqrt(mu + 1) - 10).toLong),
+          math.ceil(mu + Z * math.sqrt(mu + 1) + 10).toLong)
+
+  /** Pois(mu) pmf on a window [lo, hi] that holds floor(mu) and all but
+    * < 1e-26 of the mass: weight 1 at the mode floor(mu), extended outward
+    * by the ratio recurrences p(k+1) = p(k)·mu/(k+1) and
+    * p(k−1) = p(k)·k/mu, then divided by the window sum. No exp or lgamma,
+    * so nothing underflows near the mode however large mu is.
+    */
+  private[core] def poisWindow(mu: Double, lo: Long, hi: Long): Array[Double] = {
+    val p = new Array[Double]((hi - lo + 1).toInt)
+    val mode = (math.floor(mu).toLong - lo).toInt
+    p(mode) = 1.0
+    var i = mode
+    while (i + 1 < p.length) { p(i + 1) = p(i) * mu / (lo + i + 1); i += 1 }
+    i = mode
+    while (i > 0) { p(i - 1) = p(i) * (lo + i) / mu; i -= 1 }
+    var s = 0.0
+    i = 0
+    while (i < p.length) { s += p(i); i += 1 }
+    i = 0
+    while (i < p.length) { p(i) /= s; i += 1 }
+    p
+  }
+
+  /** Production expression error: Alg. 2's scheme over the ±Zσ windows of
+    * both Poissons, each built by [[poisWindow]]. Truncation error < 1e-12
+    * relative.
     */
   def auto(a: Double, b: Double, m: Int): Double = {
     require(m >= 1 && a >= 0 && b >= 0)
     if (m == 1) return 0.0
     if (a == 0.0) return b / m // exact: E|Y/m| = b/m for empty HGrid
-    val aHi = math.ceil(a + Z * math.sqrt(a + 1) + 10).toLong
-    val bLo = if (b == 0.0) 0L else math.max(0L, math.floor(b - Z * math.sqrt(b + 1) - 10).toLong)
-    val bHi = if (b == 0.0) 0L else math.ceil(b + Z * math.sqrt(b + 1) + 10).toLong
-    val len = (bHi - bLo + 1).toInt
-    val pb = new Array[Double](len)
+    val (_, aHi) = windowBounds(a)
+    val (bLo, bHi) = windowBounds(b)
+    val pa = poisWindow(a, 0L, aHi)
+    val pb = poisWindow(b, bLo, bHi)
     var i = 0
     var c0Tot = 0.0
     var c1Tot = 0.0
-    while (i < len) {
-      val k = bLo + i
-      pb(i) = if (b == 0.0) { if (k == 0) 1.0 else 0.0 } else math.exp(logPoisPmf(b, k))
-      c0Tot += pb(i); c1Tot += k * pb(i)
+    while (i < pb.length) {
+      c0Tot += pb(i); c1Tot += (bLo + i) * pb(i)
       i += 1
     }
     var u = bLo
     var c0 = 0.0
     var c1 = 0.0
     var e = 0.0
-    var kh = 0L
-    val logA = math.log(a)
-    var logPa = -a // log P_a(0)
-    while (kh <= aHi) {
+    var kh = 0
+    while (kh < pa.length) {
       val t = (m - 1).toLong * kh
       while (u < t && u <= bHi) {
         val p = pb((u - bLo).toInt)
         c0 += p; c1 += u * p
         u += 1
       }
-      val pa = math.exp(logPa)
-      if (pa > 0) {
-        val cc0 = if (t > bHi) c0Tot else c0
-        val cc1 = if (t > bHi) c1Tot else c1
-        e += pa * ((m - 1).toDouble * kh * (2 * cc0 - c0Tot) - (2 * cc1 - c1Tot))
-      }
+      val cc0 = if (t > bHi) c0Tot else c0
+      val cc1 = if (t > bHi) c1Tot else c1
+      e += pa(kh) * ((m - 1).toDouble * kh * (2 * cc0 - c0Tot) - (2 * cc1 - c1Tot))
       kh += 1
-      logPa += logA - math.log(kh.toDouble)
     }
     e / m
   }
@@ -166,15 +165,22 @@ object ExpressionError {
   /** Total expression error of one MGrid with present-HGrid means
     * `alphas` (absent HGrids are implicit zeros): Σ_j E_e(α_j, A−α_j, m)
     * plus the exact A/m term for each of the (m − |alphas|) empty HGrids.
+    * E_e depends on j only through α_j, so each distinct α (a count over
+    * the window days, hence often repeated) is evaluated once and weighted
+    * by its multiplicity.
     */
   def mgridTotal(alphas: Array[Double], m: Int): Double = {
     require(alphas.length <= m, s"${alphas.length} HGrid means for m=$m")
     val total = alphas.sum
+    val sorted = alphas.clone()
+    java.util.Arrays.sort(sorted)
     var e = 0.0
     var j = 0
-    while (j < alphas.length) {
-      e += auto(alphas(j), total - alphas(j), m)
-      j += 1
+    while (j < sorted.length) {
+      var r = j + 1
+      while (r < sorted.length && sorted(r) == sorted(j)) r += 1
+      e += (r - j) * auto(sorted(j), total - sorted(j), m)
+      j = r
     }
     e + (m - alphas.length) * (if (m == 1) 0.0 else total / m)
   }

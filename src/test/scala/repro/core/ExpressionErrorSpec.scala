@@ -8,6 +8,7 @@ import repro.PropChecks
 class ExpressionErrorSpec extends AnyFunSuite with PropChecks {
 
   import ExpressionError._
+  import LogSpaceReference.{lgamma, logPoisPmf, saddleLogPmf}
 
   private val K = 60
 
@@ -117,6 +118,44 @@ class ExpressionErrorSpec extends AnyFunSuite with PropChecks {
     if (x >= 0) y else -y
   }
 
+  private def rel(x: Double, ref: Double): Double = math.abs(x - ref) / math.abs(ref)
+
+  test("property: auto ≡ the log-space reference within 1e-12, a up to 2000 and b up to 1e5") {
+    val gen = for {
+      a <- Gen.oneOf(Gen.choose(0.01, 5.0), Gen.choose(5.0, 2000.0))
+      b <- Gen.oneOf(Gen.choose(0.0, 20.0), Gen.choose(20.0, 1e5))
+      m <- Gen.choose(2, 4096)
+    } yield (a, b, m)
+    checkProp(Prop.forAll(gen) { case (a, b, m) =>
+      rel(auto(a, b, m), LogSpaceReference.auto(a, b, m, saddleLogPmf)) < 1e-12
+    }, min = 40)
+  }
+
+  test("property: auto ≡ the replaced Lanczos-form kernel within 1e-12 where it is accurate (b ≤ 100)") {
+    val gen = for {
+      a <- Gen.choose(0.01, 50.0)
+      b <- Gen.choose(0.0, 100.0)
+      m <- Gen.choose(2, 4096)
+    } yield (a, b, m)
+    checkProp(Prop.forAll(gen) { case (a, b, m) =>
+      rel(auto(a, b, m), LogSpaceReference.auto(a, b, m)) < 1e-12
+    }, min = 40)
+  }
+
+  test("Poisson windows hold all but 1e-12 of the mass and match the pmf within 1e-12") {
+    for (mu <- Seq(0.5, 30.0, 745.0, 1e4, 1e5)) {
+      val (lo, hi) = windowBounds(mu)
+      for (from <- Seq(lo, 0L)) { // the Pois(b) window, and the Pois(a) window [0, hi]
+        val exact = (from to hi).map(k => math.exp(saddleLogPmf(mu, k)))
+        val window = poisWindow(mu, from, hi)
+        val l1 = window.indices.map(i => math.abs(window(i) - exact(i))).sum
+        assert(math.abs(exact.sum - 1.0) < 1e-12, s"mu=$mu [$from, $hi] holds ${exact.sum}")
+        assert(math.abs(window.sum - 1.0) < 1e-12, s"mu=$mu window sum ${window.sum}")
+        assert(l1 < 1e-12, s"mu=$mu [$from, $hi] L1 distance $l1")
+      }
+    }
+  }
+
   test("Monte-Carlo agreement: auto ≈ E|X − (X+Y)/m|") {
     val cases = Seq((1.0, 3.0, 4), (2.0, 14.0, 16), (0.3, 0.9, 4), (5.0, 5.0, 2))
     for ((a, b, m) <- cases) {
@@ -178,6 +217,20 @@ class ExpressionErrorSpec extends AnyFunSuite with PropChecks {
     val viaSparse = mgridTotal(present, m)
     val viaDense = full.map(a => auto(a, full.sum - a, m)).sum
     assert(math.abs(viaSparse - viaDense) < 1e-9)
+  }
+
+  test("property: mgridTotal ≡ Σ_j auto(α_j, A − α_j, m) + absent-HGrid term on repeated α") {
+    // α is a count over the 28 window days divided by 28, so values repeat
+    val gen = for {
+      m <- Gen.choose(2, 1024)
+      n <- Gen.choose(1, m)
+      counts <- Gen.listOfN(n, Gen.frequency(8 -> Gen.choose(1, 6), 1 -> Gen.choose(7, 400)))
+    } yield (counts.map(_ / 28.0).toArray, m)
+    checkProp(Prop.forAll(gen) { case (alphas, m) =>
+      val total = alphas.sum
+      val perHGrid = alphas.map(a => auto(a, total - a, m)).sum + (m - alphas.length) * total / m
+      rel(mgridTotal(alphas, m), perHGrid) < 1e-12
+    }, min = 40)
   }
 
   test("mgridTotal on an empty MGrid is zero") {

@@ -8,6 +8,7 @@ import repro.PropChecks
 class NumericsEdgeSpec extends AnyFunSuite with PropChecks {
 
   import ExpressionError._
+  import LogSpaceReference.logPoisPmf
 
   test("K = 0 truncation keeps only the (0,0) term") {
     // k_h = 0, k_m = 0: |(m−1)·0 − 0|/m = 0 ⇒ sum is 0
