@@ -2,8 +2,8 @@ package repro.core
 
 import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
 
-import org.apache.spark.sql.{DataFrame, Encoders, SparkSession}
-import org.apache.spark.sql.functions.{col, shiftleft}
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.col
 import repro.data.{CityConfig, GridCounts}
 import repro.model.ModelTier
 
@@ -47,29 +47,30 @@ final case class EvalConfig(
 
 /** Upper-bound evaluator (paper Algorithm 3), memoized per grid size.
   *
-  * Spark runs one pass here: the HGrid counting pass (`GridCounts.at`),
-  * cached so that a later evaluator over the same events reuses it. The
-  * first evaluation collects those counts into a dense day × slot × HGrid
-  * array, the count cube; every grid size is then computed from the cube
-  * in the JVM: α, the per-day MGrid roll-up, HA(k) model error (Eq. 20),
-  * test-day real error and the expression-error kernel. Search algorithms
-  * pay one evaluation per *distinct* grid size they visit — the cost unit
-  * of the paper's Table IV.
+  * Spark runs one narrow job here, in the first evaluation: each partition
+  * of the events run-length-encodes its HGrid counts, which are then added
+  * into a dense day × slot × HGrid array, the count cube. The job has
+  * no shuffle and caches nothing, and the cube holds exact integer counts,
+  * so it does not depend on how the events are partitioned. Every grid size
+  * is then computed from the cube in the JVM, one task per slot: the
+  * expression-error kernel, the per-day MGrid roll-up, HA(k) model error
+  * (Eq. 20) and test-day real error. Search algorithms pay one evaluation
+  * per *distinct* grid size they visit — the cost unit of the paper's
+  * Table IV.
   *
-  * @param parallelism threads of the expression-error kernel; results do
-  *                    not depend on it (see [[Evaluator.exprErrPerSlot]])
+  * @param parallelism threads of the per-slot pass; results do not depend
+  *                    on it
   */
 final class Evaluator(spark: SparkSession, events: DataFrame, val cfg: EvalConfig, parallelism: Int) {
 
-  /** Kernel parallelism = the session's default parallelism. */
+  /** Parallelism = the session's default parallelism. */
   def this(spark: SparkSession, events: DataFrame, cfg: EvalConfig) =
     this(spark, events, cfg, spark.sparkContext.defaultParallelism)
 
   private val cache = mutable.Map.empty[Int, Map[Int, SlotEval]]
 
   /** Cumulative wall time spent in cache-missing evaluations. The first one
-    * includes collecting the count cube, and the Spark counting pass unless
-    * an earlier evaluator over the same events cached it.
+    * includes building the count cube.
     */
   var wallNanos: Long = 0L
   def evalCount: Int = cache.size
@@ -95,92 +96,127 @@ final class Evaluator(spark: SparkSession, events: DataFrame, val cfg: EvalConfi
     * window, whichever comes first (the α window does when only short
     * windows are configured).
     */
-  private val day0 = math.max(0, math.min(cfg.testDay - cfg.trainWindow,
+  private[core] val day0 = math.max(0, math.min(cfg.testDay - cfg.trainWindow,
     cfg.valDays.min - cfg.models.map(_.k).max))
   private val days = cfg.testDay - day0 + 1
-
-  private lazy val counts: DataFrame = GridCounts.at(events, hSide).cache()
+  require(days.toLong * slots * cells <= Int.MaxValue, s"count cube of $days days × $cells HGrids is too large")
 
   /** HGrid counts of days [day0, testDay] at index
     * ((day − day0)·slots + slot)·N + HGrid id; absent cells are zeros.
     */
-  private lazy val cube: Array[Int] = {
-    val idx = ((col("day") - day0) * slots + col("slot")) * cells + col("cx") * hSide + col("cy")
-    val packed = counts
-      .where(col("day").between(day0, cfg.testDay))
-      .select((shiftleft(idx.cast("long"), 32) + col("cnt")).as("v"))
-      .as(Encoders.scalaLong)
-      .collect()
-    val c = new Array[Int](days * slots * cells)
-    packed.foreach(v => c((v >>> 32).toInt) = v.toInt)
-    c
-  }
-
-  private def at(day: Int, slot: Int): Int = ((day - day0) * slots + slot) * cells
+  private[core] lazy val cube: Array[Int] = countCube()
 
   /** α per (slot, HGrid) at index slot·N + HGrid id: the mean count over
     * the train window [testDay − trainWindow, testDay).
     */
-  private lazy val alpha: Array[Double] = {
-    val a = new Array[Double](slots * cells)
-    for (s <- 0 until slots; h <- 0 until cells) {
-      var sum = 0L
-      for (d <- cfg.testDay - cfg.trainWindow until cfg.testDay) sum += cube(at(d, s) + h)
-      a(s * cells + h) = sum / cfg.trainWindow.toDouble
+  private[core] lazy val alpha: Array[Double] = trainMean()
+
+  // The array loops run in methods, not in the lazy val initializers: an
+  // initializer keeps `this` on the operand stack, and HotSpot does not
+  // compile a loop on stack replacement while the stack is non-empty.
+
+  /** One narrow job: every partition emits its sorted (index, count) runs,
+    * which are then added into the cube. The partitions read the cube
+    * index straight from Spark's internal rows; a typed Dataset would box
+    * every event and serialize the runs once more.
+    */
+  private def countCube(): Array[Int] = {
+    val idx = ((col("day") - day0) * slots + col("slot")) * cells +
+      GridCounts.cellIdx(col("x"), hSide) * hSide + GridCounts.cellIdx(col("y"), hSide)
+    val runs = events
+      .where(col("day").between(day0, cfg.testDay))
+      .select(idx.cast("int"))
+      .queryExecution.toRdd
+      .mapPartitions(rows => Iterator.single(Evaluator.runLengths(rows.map(_.getInt(0)))))
+      .collect()
+    val c = new Array[Int](days * slots * cells)
+    for (r <- runs) {
+      var i = 0
+      while (i < r.length) { c((r(i) >>> 32).toInt) += r(i).toInt; i += 1 }
     }
-    a
+    c
   }
 
-  /** Drop the cached HGrid counts. */
-  def close(): Unit = counts.unpersist()
+  private def trainMean(): Array[Double] = {
+    val c = cube
+    val sum = new Array[Long](slots * cells)
+    var d = cfg.testDay - cfg.trainWindow
+    while (d < cfg.testDay) {
+      val base = at(d, 0)
+      var i = 0
+      while (i < sum.length) { sum(i) += c(base + i); i += 1 }
+      d += 1
+    }
+    val window = cfg.trainWindow.toDouble
+    sum.map(_ / window)
+  }
+
+  private def at(day: Int, slot: Int): Int = ((day - day0) * slots + slot) * cells
+
+  private lazy val slotOrder: Array[Int] = Evaluator.busiestFirst(alpha, cells)
 
   /** Adds `slot`'s HGrid counts of `day` into `out(off + MGrid id)`. */
   private def addDay(slot: Int, day: Int, mgridOf: Array[Int], out: Array[Long], off: Int): Unit = {
+    val c = cube
     val base = at(day, slot)
     var h = 0
-    while (h < cells) { out(off + mgridOf(h)) += cube(base + h); h += 1 }
+    while (h < cells) { out(off + mgridOf(h)) += c(base + h); h += 1 }
   }
 
+  /** Every slot of one grid size, one task per slot, busiest first. */
   private def compute(nSide: Int): Map[Int, SlotEval] = {
-    val spec = GridSpec(nSide, hSide)
+    val groups = new Evaluator.MGrids(GridSpec(nSide, hSide))
+    val order = slotOrder
+    val out = new Array[SlotEval](slots)
+    Evaluator.parallelFor(slots, parallelism) { i =>
+      val s = order(i)
+      out(s) = evalSlot(s, groups)
+    }
+    out.iterator.map(e => e.slot -> e).toMap
+  }
+
+  /** One slot: expression error, the per-day MGrid roll-up, then HA(k)
+    * model error and test-day real error from it.
+    */
+  private def evalSlot(s: Int, groups: Evaluator.MGrids): SlotEval = {
+    val spec = groups.spec
     val n = spec.n
     val mgridOf = spec.mgridOf
-    val expr = Evaluator.exprErrPerSlot(alpha, spec, parallelism)
+    val expr = groups.exprErr(alpha, s)
     // cum(i·n + mg): MGrid mg's count summed over days [day0, day0 + i)
     val cum = new Array[Long]((days + 1) * n)
+    for (i <- 0 until days) {
+      System.arraycopy(cum, i * n, cum, (i + 1) * n, n)
+      addDay(s, day0 + i, mgridOf, cum, (i + 1) * n)
+    }
     def row(d: Int): Int = math.min(days, math.max(0, d - day0))
-    (0 until slots).map { s =>
-      for (i <- 0 until days) {
-        System.arraycopy(cum, i * n, cum, (i + 1) * n, n)
-        addDay(s, day0 + i, mgridOf, cum, (i + 1) * n)
-      }
-      // MGrid mg's count summed over days [from, until)
-      def window(mg: Int, from: Int, until: Int): Long = cum(row(until) * n + mg) - cum(row(from) * n + mg)
-      def pred(mt: ModelTier, d: Int, mg: Int): Double = window(mg, d - mt.k, d).toDouble / mt.k
+    // MGrid mg's count summed over days [from, until)
+    def window(mg: Int, from: Int, until: Int): Long = cum(row(until) * n + mg) - cum(row(from) * n + mg)
+    def pred(mt: ModelTier, d: Int, mg: Int): Double = window(mg, d - mt.k, d).toDouble / mt.k
 
-      // model error (Eq. 20): mean over valDays of Σ_i |λ̂_i − λ_i|
-      val modelErr = cfg.models.map { mt =>
-        mt.name -> cfg.valDays.map { d =>
-          var e = 0.0
-          var mg = 0
-          while (mg < n) { e += math.abs(pred(mt, d, mg) - window(mg, d, d + 1)); mg += 1 }
-          e
-        }.sum / cfg.valDays.size
-      }.toMap
-
-      // real error on the test day: Σ_ij |λ̂_i/m_i − λ_ij| over every HGrid
-      val base = at(cfg.testDay, s)
-      val realErr = cfg.models.map { mt =>
-        mt.name -> (if (!cfg.computeReal) 0.0 else {
-          val share = Array.tabulate(n)(mg => pred(mt, cfg.testDay, mg) / spec.cellsPerM(mg))
-          var e = 0.0
-          var h = 0
-          while (h < cells) { e += math.abs(share(mgridOf(h)) - cube(base + h)); h += 1 }
-          e
-        })
-      }.toMap
-      s -> SlotEval(s, expr(s), modelErr, realErr)
+    // model error (Eq. 20): mean over valDays of Σ_i |λ̂_i − λ_i|
+    val modelErr = cfg.models.map { mt =>
+      mt.name -> cfg.valDays.map { d =>
+        var e = 0.0
+        var mg = 0
+        while (mg < n) { e += math.abs(pred(mt, d, mg) - window(mg, d, d + 1)); mg += 1 }
+        e
+      }.sum / cfg.valDays.size
     }.toMap
+
+    // real error on the test day: Σ_ij |λ̂_i/m_i − λ_ij| over every HGrid
+    val base = at(cfg.testDay, s)
+    val realErr = cfg.models.map { mt =>
+      mt.name -> (if (!cfg.computeReal) 0.0 else {
+        val share = Array.tabulate(n)(mg => pred(mt, cfg.testDay, mg) / spec.cellsPerM(mg))
+        val c = cube
+        var e = 0.0
+        var h = 0
+        while (h < cells) { e += math.abs(share(mgridOf(h)) - c(base + h)); h += 1 }
+        e
+      })
+    }.toMap
+    SlotEval(s, expr, modelErr, realErr)
   }
 
   /** Test-day HA(k) predictions per slot as a dense per-MGrid array
@@ -212,41 +248,96 @@ final class Evaluator(spark: SparkSession, events: DataFrame, val cfg: EvalConfi
 object Evaluator {
 
   /** Per-slot expression-error totals Σ_i Σ_j E_e from a dense α array
-    * (index slot·N + HGrid id): one [[ExpressionError.mgridTotal]] call per
-    * (slot, MGrid) on its non-zero α, in HGrid-id order.
+    * (index slot·N + HGrid id), by the routine the evaluator runs in each
+    * slot task: one [[ExpressionError.mgridTotal]] call per MGrid on its
+    * non-zero α in HGrid-id order, summed in MGrid order.
     *
-    * The groups run on up to `parallelism` threads, largest first, so one
-    * big group does not finish last. Each group's total lands in its own
-    * cell and the cells are summed per slot in MGrid order, so the result
-    * is bitwise independent of `parallelism`. Every thread is joined
-    * before this returns.
+    * Slots run on up to `parallelism` threads, busiest first. Each slot's
+    * sum is computed by one thread in a fixed order, so the result is
+    * bitwise independent of `parallelism`. Every thread is joined before
+    * this returns.
     */
   def exprErrPerSlot(alpha: Array[Double], spec: GridSpec, parallelism: Int): Array[Double] = {
     val cells = spec.totalHGrids
-    val n = spec.n
     val slots = alpha.length / cells
     require(slots * cells == alpha.length, s"α length ${alpha.length} is not a multiple of $cells")
-    val mgridOf = spec.mgridOf
-    // HGrid ids sorted by MGrid: MGrid mg owns byM(start(mg) until start(mg + 1))
-    val byM = Array.range(0, cells).sortBy(mgridOf(_))
-    val start = spec.cellsPerM.scanLeft(0)(_ + _)
-    val nonZero = new Array[Int](slots * n)
-    for (s <- 0 until slots; h <- 0 until cells if alpha(s * cells + h) > 0)
-      nonZero(s * n + mgridOf(h)) += 1
-    val groups = (0 until slots * n).filter(nonZero(_) > 0).sortBy(g => -nonZero(g))
-    val total = new Array[Double](slots * n)
-    parallelFor(groups.size, parallelism) { i =>
-      val g = groups(i)
-      val (s, mgrid) = (g / n, g % n)
-      val as = new Array[Double](nonZero(g))
-      var k = 0
-      for (j <- start(mgrid) until start(mgrid + 1)) {
-        val a = alpha(s * cells + byM(j))
-        if (a > 0) { as(k) = a; k += 1 }
-      }
-      total(g) = ExpressionError.mgridTotal(as, spec.cellsPerM(mgrid))
+    val groups = new MGrids(spec)
+    val order = busiestFirst(alpha, cells)
+    val out = new Array[Double](slots)
+    parallelFor(slots, parallelism) { i =>
+      val s = order(i)
+      out(s) = groups.exprErr(alpha, s)
     }
-    Array.tabulate(slots)(s => (0 until n).foldLeft(0.0)((acc, mgrid) => acc + total(s * n + mgrid)))
+    out
+  }
+
+  /** HGrid ids grouped by MGrid with a counting sort: MGrid mg owns
+    * `byM(start(mg) until start(mg + 1))`, in HGrid-id order.
+    */
+  private final class MGrids(val spec: GridSpec) {
+    private val mgridOf = spec.mgridOf
+    private val cellsPerM = spec.cellsPerM
+    private val start = cellsPerM.scanLeft(0)(_ + _)
+    private val byM = countingSort(mgridOf, start)
+    private val maxM = cellsPerM.max
+
+    /** Slot `s`'s expression error: [[ExpressionError.mgridTotal]] per
+      * MGrid with a non-zero α, summed in MGrid order.
+      */
+    def exprErr(alpha: Array[Double], s: Int): Double = {
+      val base = s * mgridOf.length
+      val as = new Array[Double](maxM)
+      var e = 0.0
+      var mg = 0
+      while (mg < cellsPerM.length) {
+        var k = 0
+        var j = start(mg)
+        while (j < start(mg + 1)) {
+          val a = alpha(base + byM(j))
+          if (a > 0) { as(k) = a; k += 1 }
+          j += 1
+        }
+        if (k > 0) e += ExpressionError.mgridTotal(java.util.Arrays.copyOf(as, k), cellsPerM(mg))
+        mg += 1
+      }
+      e
+    }
+  }
+
+  /** Indices of `key` stably sorted by key, where key k's block starts at
+    * `start(k)`.
+    */
+  private def countingSort(key: Array[Int], start: Array[Int]): Array[Int] = {
+    val next = start.clone()
+    val sorted = new Array[Int](key.length)
+    var i = 0
+    while (i < key.length) { sorted(next(key(i))) = i; next(key(i)) += 1; i += 1 }
+    sorted
+  }
+
+  /** Slot ids by descending total α, so the busiest slot starts first. */
+  private def busiestFirst(alpha: Array[Double], cells: Int): Array[Int] = {
+    val total = Array.tabulate(alpha.length / cells)(s => alpha.slice(s * cells, (s + 1) * cells).sum)
+    total.indices.toArray.sortBy(s => -total(s))
+  }
+
+  /** The sorted distinct values of `idx`, each with its number of
+    * occurrences, packed as value << 32 | count.
+    */
+  private def runLengths(idx: Iterator[Int]): Array[Long] = {
+    val a = idx.toArray
+    java.util.Arrays.sort(a)
+    val out = new Array[Long](a.length)
+    var k = 0
+    var i = 0
+    while (i < a.length) {
+      var j = i + 1
+      while (j < a.length && a(j) == a(i)) j += 1
+      out(k) = (a(i).toLong << 32) | (j - i)
+      k += 1
+      i = j
+    }
+    java.util.Arrays.copyOf(out, k)
   }
 
   /** Runs `body(0 until tasks)` on the calling thread plus up to
@@ -264,7 +355,7 @@ object Evaluator {
         i = next.getAndIncrement()
       }
     }
-    val helpers = Seq.fill(math.min(parallelism, tasks) - 1)(new Thread(work, "expression-error"))
+    val helpers = Seq.fill(math.min(parallelism, tasks) - 1)(new Thread(work, "evaluator"))
     helpers.foreach { t => t.setDaemon(true); t.start() }
     work.run()
     helpers.foreach(_.join())

@@ -11,8 +11,9 @@ import org.apache.spark.sql.functions._
   *  - alpha:  (slot, cx, cy, alpha)
   *
   * Cells with zero events are *absent* (sparse representation);
-  * ExpressionError.totalPerSlot accounts for the implied zeros, and the
-  * Evaluator collects counts into a dense array where they are explicit.
+  * ExpressionError.totalPerSlot accounts for the implied zeros. The
+  * Evaluator counts events into its own dense array, where zeros are
+  * explicit; tests check it against these operations.
   */
 object GridCounts {
 

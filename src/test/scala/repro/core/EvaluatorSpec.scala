@@ -1,5 +1,9 @@
 package repro.core
 
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
+
+import org.apache.spark.ListenerBusAccess
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
@@ -194,10 +198,54 @@ class EvaluatorSpec extends SparkSpec {
     }
   }
 
-  test("SlotEvals are bitwise identical at kernel parallelism 1 and 4") {
-    val one = new Evaluator(spark, events, ev.cfg, parallelism = 1)
-    val four = new Evaluator(spark, events, ev.cfg, parallelism = 4)
-    for (n <- Seq(1, 3, 8)) assert(one(n) == four(n), s"n=$n")
+  test("SlotEvals are bitwise identical at parallelism 1, 3 and 4") {
+    val byP = Seq(1, 3, 4).map(p => p -> new Evaluator(spark, events, ev.cfg, parallelism = p))
+    for (n <- Seq(1, 3, 5, 8, 16)) {
+      val want = byP.head._2(n)
+      for ((p, e) <- byP) {
+        assert(e(n) == want, s"n=$n parallelism=$p")
+        val kernel = Evaluator.exprErrPerSlot(ev.alpha, GridSpec(n, 16), p)
+        for (s <- slots) assert(kernel(s) == want(s).exprErr, s"exprErrPerSlot n=$n parallelism=$p slot=$s")
+      }
+    }
+  }
+
+  test("count cube equals GridCounts.at as a dense array at 1 and 7 event partitions") {
+    val want = new Array[Int](ev.cube.length)
+    for (r <- hCounts.where(col("day").between(ev.day0, 11)).collect()) {
+      val i = ((r.getInt(0) - ev.day0) * CityConfig.Slots + r.getInt(1)) * 256 + r.getInt(2) * 16 + r.getInt(3)
+      want(i) = r.getLong(4).toInt
+    }
+    assert(ev.cube.sameElements(want))
+    for (p <- Seq(1, 7)) {
+      val other = new Evaluator(spark, events.repartition(p), ev.cfg)
+      assert(other.cube.sameElements(want), s"$p partitions")
+      assert(other(3) == ev(3), s"$p partitions")
+    }
+  }
+
+  test("first evaluation runs one Spark job with no shuffle; later sizes run none") {
+    events.count()
+    val sc = spark.sparkContext
+    val jobs = new AtomicInteger()
+    val shuffleBytes = new AtomicLong()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        if (e.taskMetrics != null) shuffleBytes.addAndGet(e.taskMetrics.shuffleWriteMetrics.bytesWritten)
+    }
+    ListenerBusAccess.drain(sc)
+    sc.addSparkListener(listener)
+    try {
+      val fresh = mkEval()
+      fresh(4)
+      ListenerBusAccess.drain(sc)
+      assert(jobs.get == 1, "jobs in the first apply")
+      assert(shuffleBytes.get == 0L, "shuffle bytes written")
+      Seq(1, 2, 8, 16).foreach(fresh(_))
+      ListenerBusAccess.drain(sc)
+      assert(jobs.get == 1, "jobs after later applys")
+    } finally sc.removeSparkListener(listener)
   }
 
   test("α window before every HA(k) window: ha4-only expression error is unchanged") {
