@@ -1,9 +1,9 @@
 package repro.core
 
+import java.util.concurrent.ConcurrentHashMap
 import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.col
 import repro.data.{CityConfig, GridCounts}
 import repro.model.ModelTier
 
@@ -67,22 +67,35 @@ final class Evaluator(spark: SparkSession, events: DataFrame, val cfg: EvalConfi
   def this(spark: SparkSession, events: DataFrame, cfg: EvalConfig) =
     this(spark, events, cfg, spark.sparkContext.defaultParallelism)
 
-  private val cache = mutable.Map.empty[Int, Map[Int, SlotEval]]
+  /** One memo entry per grid size. Concurrent callers of one size wait for
+    * a single computation; different sizes compute concurrently.
+    */
+  private final class Entry(nSide: Int) {
+    lazy val value: Map[Int, SlotEval] = {
+      val t0 = System.nanoTime()
+      val r = compute(nSide)
+      val dt = System.nanoTime() - t0
+      stats.synchronized { evals += 1; nanos += dt }
+      r
+    }
+  }
+  private val memo = new ConcurrentHashMap[Int, Entry]()
+  private val stats = new Object
+  private var evals = 0
+  private var nanos = 0L
 
   /** Cumulative wall time spent in cache-missing evaluations. The first one
     * includes building the count cube.
     */
-  var wallNanos: Long = 0L
-  def evalCount: Int = cache.size
+  def wallNanos: Long = stats.synchronized(nanos)
+  /** Distinct grid sizes evaluated so far. */
+  def evalCount: Int = stats.synchronized(evals)
 
-  /** All-slot evaluation of one grid size (memoized). */
+  /** All-slot evaluation of one grid size (memoized; safe to call from
+    * several threads).
+    */
   def apply(nSide: Int): Map[Int, SlotEval] =
-    cache.getOrElseUpdate(nSide, {
-      val t0 = System.nanoTime()
-      val r = compute(nSide)
-      wallNanos += System.nanoTime() - t0
-      r
-    })
+    memo.computeIfAbsent(nSide, new Entry(_)).value
 
   /** Objective e(√n) for one (slot, model) — what the searches minimize. */
   def objective(slot: Int, model: ModelTier): Int => Double =
@@ -116,18 +129,29 @@ final class Evaluator(spark: SparkSession, events: DataFrame, val cfg: EvalConfi
   // compile a loop on stack replacement while the stack is non-empty.
 
   /** One narrow job: every partition emits its sorted (index, count) runs,
-    * which are then added into the cube. The partitions read the cube
-    * index straight from Spark's internal rows; a typed Dataset would box
-    * every event and serialize the runs once more.
+    * which are then added into the cube. The partitions read the events'
+    * own internal rows: a derived query would be planned and code-generated
+    * anew for every evaluator, which takes about as long as the job itself,
+    * and a typed Dataset would box every event.
     */
   private def countCube(): Array[Int] = {
-    val idx = ((col("day") - day0) * slots + col("slot")) * cells +
-      GridCounts.cellIdx(col("x"), hSide) * hSide + GridCounts.cellIdx(col("y"), hSide)
-    val runs = events
-      .where(col("day").between(day0, cfg.testDay))
-      .select(idx.cast("int"))
-      .queryExecution.toRdd
-      .mapPartitions(rows => Iterator.single(Evaluator.runLengths(rows.map(_.getInt(0)))))
+    val schema = events.schema
+    val (dayAt, slotAt, xAt, yAt) =
+      (schema.fieldIndex("day"), schema.fieldIndex("slot"), schema.fieldIndex("x"), schema.fieldIndex("y"))
+    // plain locals, so the task closure does not capture the evaluator
+    val (first, last, side, n, perDay) = (day0, cfg.testDay, hSide, cells, slots)
+    val runs = events.queryExecution.toRdd
+      .mapPartitions { rows =>
+        val idx = new mutable.ArrayBuilder.ofInt
+        while (rows.hasNext) {
+          val r = rows.next()
+          val d = r.getInt(dayAt)
+          if (d >= first && d <= last)
+            idx += ((d - first) * perDay + r.getInt(slotAt)) * n +
+              Evaluator.cellIdx(r.getDouble(xAt), side) * side + Evaluator.cellIdx(r.getDouble(yAt), side)
+        }
+        Iterator.single(Evaluator.runLengths(idx.result()))
+      }
       .collect()
     val c = new Array[Int](days * slots * cells)
     for (r <- runs) {
@@ -321,11 +345,14 @@ object Evaluator {
     total.indices.toArray.sortBy(s => -total(s))
   }
 
-  /** The sorted distinct values of `idx`, each with its number of
-    * occurrences, packed as value << 32 | count.
+  /** [[GridCounts.cellIdx]] on one coordinate. */
+  private def cellIdx(c: Double, side: Int): Int =
+    math.min(side - 1, math.max(0, math.floor(c * side).toLong.toInt))
+
+  /** The sorted distinct values of `a` (sorted in place), each with its
+    * number of occurrences, packed as value << 32 | count.
     */
-  private def runLengths(idx: Iterator[Int]): Array[Long] = {
-    val a = idx.toArray
+  private def runLengths(a: Array[Int]): Array[Long] = {
     java.util.Arrays.sort(a)
     val out = new Array[Long](a.length)
     var k = 0

@@ -18,12 +18,15 @@ object Rng {
     z ^ (z >>> 31)
   }
 
-  /** Combine key parts into one 64-bit seed (order-sensitive). */
-  def key(parts: Long*): Long = {
-    var h = 0x632be59bd9b4e019L
-    parts.foreach { p => h = mix64(h ^ p) }
-    h
-  }
+  /** Combine key parts into one 64-bit seed (order-sensitive): the left
+    * fold of [[extend]] from a fixed constant.
+    */
+  def key(parts: Long*): Long = parts.foldLeft(0x632be59bd9b4e019L)(extend)
+
+  /** Append one part to a key: `key(p1, …, pk, q) == extend(key(p1, …, pk), q)`,
+    * so a loop over the last part can compute the shared prefix once.
+    */
+  def extend(prefix: Long, part: Long): Long = mix64(prefix ^ part)
 
   /** Uniform double in [0, 1) from a key, stream index `i` for multiple draws. */
   def uniform(k: Long, i: Long = 0): Double =
@@ -36,6 +39,9 @@ object Rng {
     math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.Pi * u2)
   }
 
+  /** Smallest mean that [[poisson]] draws from its normal approximation. */
+  val NormalFrom = 64.0
+
   /** Poisson(mu) sample keyed by `k`.
     *
     * Knuth's product method below mu=64 (exact); above that a rounded
@@ -44,7 +50,7 @@ object Rng {
     */
   def poisson(mu: Double, k: Long): Int = {
     if (mu <= 0.0) 0
-    else if (mu < 64.0) {
+    else if (mu < NormalFrom) {
       val l = math.exp(-mu)
       var p = 1.0
       var n = 0

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch}
 import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
 
 import org.apache.spark.ListenerBusAccess
@@ -208,6 +209,33 @@ class EvaluatorSpec extends SparkSpec {
         for (s <- slots) assert(kernel(s) == want(s).exprErr, s"exprErrPerSlot n=$n parallelism=$p slot=$s")
       }
     }
+  }
+
+  test("concurrent callers share the memo: same SlotEvals, one evaluation per size") {
+    val sizes = Seq(1, 2, 3, 4, 5, 8)
+    val want = sizes.map(n => n -> ev(n)).toMap
+    val shared = new Evaluator(spark, events, ev.cfg)
+    val start = new CountDownLatch(1)
+    val results = new ConcurrentLinkedQueue[(Int, Map[Int, SlotEval])]()
+    val failures = new ConcurrentLinkedQueue[Throwable]()
+    val threads = (0 until 4).map { t =>
+      // every thread visits each size twice: first all in the same order,
+      // so they contend for one size at a time, then from different starts
+      val mine = sizes ++ (sizes.drop(t) ++ sizes.take(t)).reverse
+      new Thread(() => {
+        start.await()
+        try mine.foreach(n => results.add(n -> shared(n)))
+        catch { case e: Throwable => failures.add(e) }
+      })
+    }
+    threads.foreach(_.start())
+    start.countDown()
+    threads.foreach(_.join())
+    assert(failures.isEmpty, failures)
+    assert(results.size == 4 * 2 * sizes.size)
+    results.forEach { case (n, r) => assert(r == want(n), s"n=$n") }
+    assert(shared.evalCount == sizes.size)
+    assert(shared.wallNanos > 0)
   }
 
   test("count cube equals GridCounts.at as a dense array at 1 and 7 event partitions") {

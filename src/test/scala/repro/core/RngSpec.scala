@@ -13,6 +13,17 @@ class RngSpec extends AnyFunSuite with PropChecks {
     assert(Rng.key(1, 2) != Rng.key(1, 3))
   }
 
+  test("property: key is the fold of extend, so a key prefix can be hoisted") {
+    val gen = for { a <- Gen.long; b <- Gen.long; c <- Gen.long; d <- Gen.long } yield (a, b, c, d)
+    checkProp(Prop.forAll(gen) { case (a, b, c, d) =>
+      Rng.key(a, b, c, d) == Rng.extend(Rng.key(a, b, c), d) &&
+        Rng.key(a) == Rng.extend(Rng.key(), a)
+    })
+    // pinned values: the fold must leave every key, and so every draw, as it was
+    assert(Rng.key(1, 2, 3) == 823063392072716521L)
+    assert(Rng.key(1001, 34, 47, 4095, 7777) == 7687385490123996914L)
+  }
+
   test("uniform stays in [0,1) and differs across stream indices") {
     val k = Rng.key(7)
     val us = (0 until 1000).map(i => Rng.uniform(k, i))

@@ -58,4 +58,16 @@ class CityConfigSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](CityConfig.toy.copy(days = 1))
     assertThrows[IllegalArgumentException](CityConfig.toy.copy(dailyOrders = 0))
   }
+
+  test("Poisson means reach the normal-approximation branch only in 25 full-volume NYC triples") {
+    val census = NormalBranchCensus.volumes.map { case (c, scale) =>
+      (c.name, scale) -> NormalBranchCensus(c.copy(dailyOrders = c.dailyOrders * scale))
+    }
+    for (((name, scale), c) <- census) {
+      if (name == "nyc" && scale == 1.0) {
+        assert(c.triples == 25)
+        assert(c.share < 2e-4, c)
+      } else assert(c.triples == 0, s"$name at $scale: $c")
+    }
+  }
 }

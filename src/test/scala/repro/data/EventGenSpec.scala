@@ -74,4 +74,25 @@ class EventGenSpec extends SparkSpec {
     val corner = ev.where(col("x") > 0.85 && col("y") < 0.15).count()
     assert(nearHotspot > 3 * corner, s"hotspot=$nearHotspot corner=$corner")
   }
+
+  // The generator against the per-cell reference it replaced: the same
+  // events, compared as multisets (only their partitioning may differ).
+  private val equivalenceCities = Seq(
+    "toy" -> CityConfig.toy,
+    "toy at genSide 32, 3 days" -> CityConfig.toy.copy(genSide = 32, days = 3),
+    "nyc at 1/50 volume" -> CityConfig.nyc.copy(dailyOrders = CityConfig.nyc.dailyOrders / 50),
+    "xian at 1/20 volume" -> CityConfig.xian.copy(dailyOrders = CityConfig.xian.dailyOrders / 20),
+  )
+  for ((name, city) <- equivalenceCities)
+    test(s"events equal the per-cell reference generator: $name") {
+      val got = EventGen.eventsDf(spark, city).cache()
+      val want = EventGenReference.events(spark, city).toDF().cache()
+      try {
+        val n = want.count()
+        assert(n > 0)
+        assert(got.count() == n)
+        assert(got.exceptAll(want).isEmpty, "events the reference does not draw")
+        assert(want.exceptAll(got).isEmpty, "reference events not drawn")
+      } finally { got.unpersist(); want.unpersist() }
+    }
 }
